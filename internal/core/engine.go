@@ -41,9 +41,9 @@ const (
 func (e Engine) Valid() bool { return e == "" || e == EngineSim || e == EngineHost }
 
 // HostUFKind is the UFReport.Kind of a host-engine run: the run
-// union–find is the host labeler's own (weighted, path-halving), not
-// one of the simulator's metered structures, and only its operation
-// counts are reported.
+// union–find is the host labeler's own (linked by least run id, path
+// halving, unweighted), not one of the simulator's metered structures,
+// and only its operation counts are reported.
 const HostUFKind unionfind.Kind = "host"
 
 // hostReport shapes the host labeler's stats as the run's UF report.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"slapcc/internal/bitmap"
@@ -114,17 +115,48 @@ func TestMulticoreStripWorkersDeterminism(t *testing.T) {
 }
 
 // TestMulticoreHostEngineStable: the host engine's canonical labels do
-// not depend on GOMAXPROCS either.
+// not depend on GOMAXPROCS either, and neither does its summary-only
+// answer on a frame wide enough for hostcc's band-parallel Summary —
+// issued from several goroutines sharing one LabelerPool, so the band
+// goroutines and the pooled band labelers run under real contention.
 func TestMulticoreHostEngineStable(t *testing.T) {
 	const n = 64
 	img := bitmap.Random(n, 0.5, 9)
 	want := mustLabel(t, img, Options{})
+
+	const big, callers = 1024, 4
+	wide := bitmap.Random(big, 0.5, 10)
+	sumOpt := Options{Engine: EngineHost, SkipLabels: true, Connectivity: bitmap.Conn8}
+	// The reference is a labeled host run: Label is always one band.
+	labOpt := sumOpt
+	labOpt.SkipLabels = false
+	ref := mustLabel(t, wide, labOpt)
 	for _, p := range gmpSweep {
 		atGMP(t, p, func(t *testing.T) {
 			host := mustLabel(t, img, Options{Engine: EngineHost})
 			if !host.Labels.Equal(want.Labels) {
 				t.Error("host engine labels diverged from simulator's canonical labels")
 			}
+			pool := NewLabelerPool(sumOpt, 2)
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 3; i++ {
+						got, err := pool.Label(wide)
+						if err != nil {
+							t.Errorf("summary-only host run: %v", err)
+							return
+						}
+						if *got.Summary != *ref.Summary || got.UF != ref.UF {
+							t.Errorf("summary-only host run: summary %+v UF %+v, want %+v %+v",
+								*got.Summary, got.UF, *ref.Summary, ref.UF)
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }
