@@ -197,21 +197,16 @@ func BenchmarkE11Speculation(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw host-side simulation speed
 // (pixels simulated per wall second), the practical cost of using this
-// repository, for both execution engines: "seq" runs PEs sequentially
-// with timestamped queues; "par" runs one goroutine per PE with channel
-// links (identical simulated metrics, different wall time).
+// repository: the sequential executor's fused walk over one 1024² frame.
+// Host parallelism comes from running frames or strips concurrently
+// (BenchmarkLabelStream), not from splitting one frame's sweep.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const n = 1024
 	img := bitmap.Random(n, 0.5, 1)
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"seq", false}, {"par", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(n * n))
-			benchLabel(b, img, core.Options{Parallel: mode.parallel})
-		})
-	}
+	b.Run("seq", func(b *testing.B) {
+		b.SetBytes(int64(n * n))
+		benchLabel(b, img, core.Options{})
+	})
 }
 
 // BenchmarkEngineThroughput contrasts the two execution engines on the
@@ -245,7 +240,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // "gomaxprocs" shards the same stream across one worker labeler per
 // core. On a 1-core host the two coincide (the stream delegates); on
 // multicore hosts the sharded stream's MB/s should approach
-// single × cores, which the per-PE parallel engine cannot deliver.
+// single × cores.
 func BenchmarkLabelStream(b *testing.B) {
 	const n, frames = 256, 16
 	stream := make([]*bitmap.Bitmap, frames)

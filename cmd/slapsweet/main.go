@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"slapcc/internal/benchfmt"
 	"slapcc/internal/sweet"
@@ -56,7 +54,6 @@ func run(args []string, out, errw io.Writer) (int, error) {
 		list     = fs.Bool("list", false, "print the scenario inventory and exit")
 		short    = fs.Bool("short", false, "seconds-long smoke scale instead of full measurement scale")
 		count    = fs.Int("count", 0, "samples per core measurement (0 = 3)")
-		gmp      = fs.String("gmp", "", "comma-separated GOMAXPROCS sweep for core scenarios (empty = 1,2,4[,NumCPU])")
 		outPath  = fs.String("o", "", "write the typed BENCH JSON artifact here")
 		pr       = fs.Int("pr", 0, "PR number stamped into the artifact")
 		title    = fs.String("title", "", "title stamped into the artifact")
@@ -80,15 +77,6 @@ func run(args []string, out, errw io.Writer) (int, error) {
 		ProfileDir: *profDir,
 		Seed:       *seed,
 		Log:        errw,
-	}
-	if *gmp != "" {
-		for _, part := range strings.Split(*gmp, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || p < 1 {
-				return 1, fmt.Errorf("bad -gmp entry %q (want positive ints)", part)
-			}
-			cfg.GoMaxProcs = append(cfg.GoMaxProcs, p)
-		}
 	}
 
 	f, err := sweet.Run(*pattern, cfg)

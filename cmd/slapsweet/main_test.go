@@ -60,8 +60,6 @@ func TestSweetSmoke(t *testing.T) {
 		"steady/latency_p99_ms",
 		"steady/stage/label_p95_ms",
 		"core/engine-seq/mb_per_s",
-		"core/engine-par/gmp2/mb_per_s",
-		"core/engine-par/gmp4/mb_per_s",
 		"core/engine-host/mb_per_s",
 	} {
 		r := f.Find(name)
@@ -119,7 +117,7 @@ func TestSweetList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"steady", "burst", "overload", "strip", "batch", "cost",
-		"engine", "stream", "stripworkers", "reuse", "linktune",
+		"engine", "stream", "stripworkers", "reuse",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list missing scenario %s:\n%s", name, out.String())
@@ -127,13 +125,13 @@ func TestSweetList(t *testing.T) {
 	}
 }
 
-// TestSweetBadFlags: unknown scenarios and malformed -gmp fail cleanly.
+// TestSweetBadFlags: unknown scenarios and malformed flags fail cleanly.
 func TestSweetBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code, err := run([]string{"-run", "nonesuch"}, &out, &errw); err == nil || code != 1 {
 		t.Errorf("unknown scenario: want code 1 with error, got %d, %v", code, err)
 	}
-	if code, err := run([]string{"-gmp", "2,zero"}, &out, &errw); err == nil || code != 1 {
-		t.Errorf("bad -gmp: want code 1 with error, got %d, %v", code, err)
+	if code, err := run([]string{"-count", "zero"}, &out, &errw); err == nil || code != 1 {
+		t.Errorf("bad -count: want code 1 with error, got %d, %v", code, err)
 	}
 }

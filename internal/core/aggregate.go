@@ -261,8 +261,7 @@ func (a *aggScratch) ensure(w int) []aggState {
 // extension flags, and an epoch-marked interner mapping a component
 // label to its dense per-column index (the same table as the merge
 // scratch's, but per column, because every column's mapping must stay
-// live across the accumulation sweeps — lookups during the sweeps are
-// read-only, so concurrent sweep engines are safe).
+// live across the accumulation sweeps, which only read it).
 type aggState struct {
 	comps []int32 // component labels, first-appearance order
 	local []int32 // fold over this column's pixels
@@ -304,7 +303,7 @@ func (st *aggState) intern(label int32, op Monoid) int {
 }
 
 // lookup returns the dense index of label, or ok=false if it was never
-// interned. Read-only: safe from concurrent sweep bodies.
+// interned. Read-only.
 func (st *aggState) lookup(label int32) (int, bool) {
 	id, ok := st.it.lookup(label)
 	return int(id), ok

@@ -82,7 +82,7 @@ func TestConn8WithAllOptions(t *testing.T) {
 	want := seqcc.BFSConn(img, bitmap.Conn8)
 	for _, kind := range unionfind.Kinds() {
 		for _, spec := range []bool{false, true} {
-			res := conn8(t, img, Options{UF: kind, Speculate: spec, IdleCompression: true, Parallel: spec})
+			res := conn8(t, img, Options{UF: kind, Speculate: spec, IdleCompression: true})
 			if !res.Labels.Equal(want) {
 				t.Errorf("uf=%s spec=%v: wrong 8-connected labeling", kind, spec)
 			}

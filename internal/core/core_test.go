@@ -19,6 +19,30 @@ func mustLabel(t *testing.T, img *bitmap.Bitmap, opt Options) *Result {
 	return res
 }
 
+// metricsIdentical compares everything the experiments report.
+func metricsIdentical(t *testing.T, a, b *Result) bool {
+	t.Helper()
+	if a.Metrics.Time != b.Metrics.Time ||
+		a.Metrics.Sends != b.Metrics.Sends ||
+		a.Metrics.Words != b.Metrics.Words ||
+		a.Metrics.MaxQueue != b.Metrics.MaxQueue ||
+		a.Metrics.PEMemory != b.Metrics.PEMemory {
+		return false
+	}
+	if len(a.Metrics.Phases) != len(b.Metrics.Phases) {
+		return false
+	}
+	for i := range a.Metrics.Phases {
+		pa, pb := a.Metrics.Phases[i], b.Metrics.Phases[i]
+		if pa.Name != pb.Name || pa.Makespan != pb.Makespan || pa.Busy != pb.Busy ||
+			pa.Idle != pb.Idle || pa.Sends != pb.Sends || pa.Words != pb.Words ||
+			pa.NilRecvs != pb.NilRecvs || pa.MaxQueue != pb.MaxQueue {
+			return false
+		}
+	}
+	return a.UF == b.UF && a.Speculation == b.Speculation
+}
+
 func TestLabelMatchesGroundTruthSmall(t *testing.T) {
 	img := bitmap.MustParse(`
 #.##

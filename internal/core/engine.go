@@ -32,7 +32,7 @@ const (
 	// HostUFKind. ArrayWidth, Seam, and Schedule do not apply — a host
 	// run always labels the whole image in one pass, which is
 	// bit-identical to any strip-mined decomposition — and the
-	// simulation-only knobs (Cost, UF, Parallel, …) are validated but
+	// simulation-only knobs (Cost, UF, Speculate, …) are validated but
 	// otherwise ignored.
 	EngineHost Engine = "host"
 )
@@ -68,9 +68,6 @@ func checkHostRun(opt Options, w, h int) error {
 	}
 	if w > 0 && h > 0 && 2*int64(w)*int64(h) > math.MaxInt32 {
 		return fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
-	}
-	if opt.BatchSize < 0 || opt.LinkDepth < 0 {
-		return fmt.Errorf("core: negative link tuning (BatchSize %d, LinkDepth %d)", opt.BatchSize, opt.LinkDepth)
 	}
 	if opt.ArrayWidth < 0 || opt.StripWorkers < 0 {
 		return fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", opt.ArrayWidth, opt.StripWorkers)

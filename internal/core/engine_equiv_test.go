@@ -4,74 +4,33 @@ import (
 	"testing"
 
 	"slapcc/internal/bitmap"
-	"slapcc/internal/slap"
 )
 
-// TestEngineEquivalence is the cross-engine conformance table: for every
-// bitmap family and both connectivities, the sequential engine, the
-// parallel engine, and a Labeler reused across all preceding runs must
-// produce identical LabelMaps and bit-identical slap.Metrics (time,
-// sends, words, queue peaks, per-phase breakdowns), plus identical UF
-// reports. This is what lets the engines and the arena reuse be chosen
-// freely on performance grounds.
+// TestEngineEquivalence is the labeler-reuse conformance table: for
+// every bitmap family and both connectivities, a Labeler reused across
+// all preceding runs must produce the same LabelMap as a one-shot Label
+// and bit-identical slap.Metrics (time, sends, words, queue peaks,
+// per-phase breakdowns), plus identical UF reports. This is what lets
+// arena reuse be chosen freely on performance grounds. (The fused walk
+// against the per-phase executor is TestFusedWalkEquivalenceTable.)
 func TestEngineEquivalence(t *testing.T) {
-	// Force the batched concurrent engine so the "parallel" rows
-	// exercise it through the full algorithm even on a single-core host
-	// (where parallel mode would otherwise delegate to the sequential
-	// executor). The delegate itself is trivially equivalent and is
-	// covered by TestEngineEquivalenceDelegated.
-	slap.ForceConcurrentEngines(true)
-	defer slap.ForceConcurrentEngines(false)
 	const n = 23
 	for _, conn := range []bitmap.Connectivity{bitmap.Conn4, bitmap.Conn8} {
 		reused := NewLabeler(Options{Connectivity: conn})
-		reusedPar := NewLabeler(Options{Connectivity: conn, Parallel: true})
 		for _, fam := range bitmap.Families() {
 			img := fam.Generate(n)
-
 			seq := mustLabel(t, img, Options{Connectivity: conn})
-			par := mustLabel(t, img, Options{Connectivity: conn, Parallel: true})
-
 			again, err := reused.Label(img)
 			if err != nil {
 				t.Fatalf("%s/conn%d: reused labeler: %v", fam.Name, conn, err)
 			}
-			againPar, err := reusedPar.Label(img)
-			if err != nil {
-				t.Fatalf("%s/conn%d: reused parallel labeler: %v", fam.Name, conn, err)
+			if !again.Labels.Equal(seq.Labels) {
+				t.Errorf("%s/conn%d: reused labeler changed the labeling", fam.Name, conn)
 			}
-
-			for _, tc := range []struct {
-				engine string
-				res    *Result
-			}{
-				{"parallel", par},
-				{"reused", again},
-				{"reused-parallel", againPar},
-			} {
-				if !tc.res.Labels.Equal(seq.Labels) {
-					t.Errorf("%s/conn%d: %s engine changed the labeling", fam.Name, conn, tc.engine)
-				}
-				if !metricsIdentical(t, seq, tc.res) {
-					t.Errorf("%s/conn%d: %s engine changed the metrics:\nseq %+v\ngot %+v",
-						fam.Name, conn, tc.engine, seq.Metrics, tc.res.Metrics)
-				}
+			if !metricsIdentical(t, seq, again) {
+				t.Errorf("%s/conn%d: reused labeler changed the metrics:\nseq %+v\ngot %+v",
+					fam.Name, conn, seq.Metrics, again.Metrics)
 			}
-		}
-	}
-}
-
-// TestEngineEquivalenceDelegated re-runs a slice of the table without
-// forcing the concurrent engine, covering whichever executor the host's
-// GOMAXPROCS actually selects (the single-core sequential delegate on
-// one-core runners).
-func TestEngineEquivalenceDelegated(t *testing.T) {
-	for _, fam := range bitmap.Families() {
-		img := fam.Generate(19)
-		seq := mustLabel(t, img, Options{})
-		par := mustLabel(t, img, Options{Parallel: true})
-		if !par.Labels.Equal(seq.Labels) || !metricsIdentical(t, seq, par) {
-			t.Errorf("%s: delegated parallel engine diverged", fam.Name)
 		}
 	}
 }

@@ -22,28 +22,47 @@ func atGMP(t *testing.T, p int, f func(t *testing.T)) {
 
 var gmpSweep = []int{1, 2, 4}
 
-// TestMulticoreEngineEquivalence pins the engine-selection contract at
-// real GOMAXPROCS values (no ForceConcurrentEngines): whatever executor
-// parallel mode picks at 1, 2, or 4 procs, labels and simulated metrics
-// are bit-identical to the sequential engine's. At GOMAXPROCS=1 this
-// covers the sequential delegate; above it, the batched concurrent
-// engine under genuine scheduler interleaving.
+// TestMulticoreEngineEquivalence pins the simulator's host-parallelism
+// contract at real GOMAXPROCS values: the simulator runs one frame per
+// goroutine, so frames labeled concurrently through one shared
+// LabelerPool (pooled arenas handed between goroutines) must match a
+// direct Label bit for bit — labels and simulated metrics — for every
+// bitmap family at 1, 2, or 4 procs.
 func TestMulticoreEngineEquivalence(t *testing.T) {
-	const n = 31
+	const n, callers = 31, 3
+	fams := bitmap.Families()
+	imgs := make([]*bitmap.Bitmap, len(fams))
+	want := make([]*Result, len(fams))
+	for i, fam := range fams {
+		imgs[i] = fam.Generate(n)
+		want[i] = mustLabel(t, imgs[i], Options{})
+	}
 	for _, p := range gmpSweep {
 		atGMP(t, p, func(t *testing.T) {
-			for _, fam := range bitmap.Families() {
-				img := fam.Generate(n)
-				seq := mustLabel(t, img, Options{})
-				par := mustLabel(t, img, Options{Parallel: true})
-				if !par.Labels.Equal(seq.Labels) {
-					t.Errorf("%s: parallel engine changed the labeling", fam.Name)
-				}
-				if !metricsIdentical(t, seq, par) {
-					t.Errorf("%s: parallel engine changed the metrics:\nseq %+v\ngot %+v",
-						fam.Name, seq.Metrics, par.Metrics)
-				}
+			pool := NewLabelerPool(Options{}, 2)
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for k := range imgs {
+						i := (k + c) % len(imgs)
+						got, err := pool.Label(imgs[i])
+						if err != nil {
+							t.Errorf("%s: %v", fams[i].Name, err)
+							return
+						}
+						if !got.Labels.Equal(want[i].Labels) {
+							t.Errorf("%s: pooled concurrent run changed the labeling", fams[i].Name)
+						}
+						if !metricsIdentical(t, want[i], got) {
+							t.Errorf("%s: pooled concurrent run changed the metrics:\nwant %+v\ngot  %+v",
+								fams[i].Name, want[i].Metrics, got.Metrics)
+						}
+					}
+				}(c)
 			}
+			wg.Wait()
 		})
 	}
 }

@@ -9,7 +9,7 @@ package slap
 // column back to back while its column state is hot. Virtual time is
 // untouched: each subphase keeps its own link chain and its own
 // PhaseMetrics, every PE view starts at clock 0 exactly as in the
-// per-phase executors, and the phases are folded into the machine's
+// per-phase executor, and the phases are folded into the machine's
 // metrics in declaration order — the resulting Metrics are bit-identical
 // to the unfused execution (tests demand it).
 
@@ -39,21 +39,13 @@ type fusedSub struct {
 // tests and ablations run both and compare metrics bit for bit.
 func (mc *Machine) DisableFusion() { mc.fuseOff = true }
 
-// FusedSweeps reports whether RunFused will actually fuse: false in
-// parallel mode (the concurrent engine handles pipeline parallelism
-// itself) and after DisableFusion. Callers that prepare per-column
-// state lazily inside the walk must prepare it up front when this is
-// false, because the per-phase executors visit columns phase by phase
-// (and, on the concurrent engine, from several goroutines).
-func (mc *Machine) FusedSweeps() bool { return !mc.parallel && !mc.fuseOff }
-
 // RunFused executes subs as one fused walk over the array in the order
 // of dir: per position, prep (when non-nil, host-side state setup that
 // charges nothing) runs first, then every subphase body back to back.
-// When FusedSweeps is false it delegates to the per-phase executors:
-// all preps first, then each subphase via RunSweep or RunLocal.
+// After DisableFusion it delegates to the per-phase executor: all preps
+// first, then each subphase via RunSweep or RunLocal.
 func (mc *Machine) RunFused(dir Direction, prep func(idx int), subs []SubPhase) {
-	if !mc.FusedSweeps() {
+	if mc.fuseOff {
 		if prep != nil {
 			for pos := 0; pos < mc.n; pos++ {
 				idx := pos
@@ -105,7 +97,7 @@ func (mc *Machine) RunFused(dir Direction, prep func(idx int), subs []SubPhase) 
 			mc.foldPE(&s.phase, pe)
 			s.pend = pe.pendCons[:0]
 			if s.in != nil {
-				// Same queue-peak bookkeeping as runSweepSeq: the consumer
+				// Same queue-peak bookkeeping as RunSweep: the consumer
 				// streamed its own peak; a rescan only matters for links
 				// with unconsumed records.
 				q := pe.maxBacklog

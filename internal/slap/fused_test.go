@@ -64,9 +64,6 @@ func TestRunFusedMatchesUnfused(t *testing.T) {
 			ref.RunFused(dir, nil, refSubs)
 
 			fused := NewMachine(n, Unit())
-			if !fused.FusedSweeps() {
-				t.Fatal("fusion unexpectedly off")
-			}
 			fusedState, fusedSubs := fusedProgram(n)
 			fused.RunFused(dir, nil, fusedSubs)
 
@@ -114,59 +111,5 @@ func TestRunFusedPrep(t *testing.T) {
 		if fuseOff && !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
 			t.Fatalf("delegate body order %v", seen)
 		}
-	}
-}
-
-// TestRunFusedParallelDelegates: in parallel mode RunFused must not
-// fuse (the concurrent engine owns the sweep), and metrics must still
-// match the sequential fused run.
-func TestRunFusedParallelDelegates(t *testing.T) {
-	ForceConcurrentEngines(true)
-	defer ForceConcurrentEngines(false)
-	const n = 9
-	seq := NewMachine(n, Unit())
-	seqState, seqSubs := fusedProgram(n)
-	seq.RunFused(LeftToRight, nil, seqSubs)
-
-	par := NewMachine(n, Unit())
-	par.EnableParallel()
-	if par.FusedSweeps() {
-		t.Fatal("parallel machine claims fused sweeps")
-	}
-	parState, parSubs := fusedProgram(n)
-	par.RunFused(LeftToRight, nil, parSubs)
-
-	if !reflect.DeepEqual(seqState, parState) {
-		t.Fatalf("state diverged: %v vs %v", seqState, parState)
-	}
-	if !reflect.DeepEqual(seq.Metrics(), par.Metrics()) {
-		t.Fatalf("metrics diverged:\nseq %+v\npar %+v", seq.Metrics(), par.Metrics())
-	}
-}
-
-// TestSetLinkTuning: every tuning produces identical simulated metrics
-// on the concurrent engine; zero keeps the current values.
-func TestSetLinkTuning(t *testing.T) {
-	ForceConcurrentEngines(true)
-	defer ForceConcurrentEngines(false)
-	run := func(batch, depth int) Metrics {
-		mc := NewMachine(6, Unit())
-		mc.EnableParallel()
-		mc.SetLinkTuning(batch, depth)
-		_, subs := fusedProgram(6)
-		mc.RunFused(LeftToRight, nil, subs)
-		return mc.Metrics()
-	}
-	base := run(0, 0)
-	for _, tc := range [][2]int{{1, 1}, {3, 2}, {1024, 64}} {
-		if got := run(tc[0], tc[1]); !reflect.DeepEqual(base, got) {
-			t.Fatalf("tuning %v changed metrics:\nbase %+v\ngot  %+v", tc, base, got)
-		}
-	}
-	mc := NewMachine(2, Unit())
-	b0, d0 := mc.batchSize, mc.linkDepth
-	mc.SetLinkTuning(0, -5)
-	if mc.batchSize != b0 || mc.linkDepth != d0 {
-		t.Fatal("zero/negative tuning must keep current values")
 	}
 }

@@ -1,6 +1,7 @@
 package slap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -364,12 +365,13 @@ func TestProfilePerPE(t *testing.T) {
 	if m2.Metrics().Phases[0].PerPE != nil {
 		t.Fatal("PerPE should be nil without profiling")
 	}
-	// Profile works in parallel sweeps too, indexed by PE position.
+	// Sweeps record the profile by PE index, not sweep position: a
+	// right-to-left wavefront starts at PE 2 (tick, send: done at 2),
+	// and PE 1 forwards the token (ready at 2, sent on at 3) to PE 0.
 	m3 := NewMachine(3, Unit())
 	m3.EnableProfile()
-	m3.EnableParallel()
-	m3.RunSweep("s", LeftToRight, func(pe *PE) {
-		pe.Tick(int64(pe.Index + 1))
+	m3.RunSweep("s", RightToLeft, func(pe *PE) {
+		pe.Tick(1)
 		if pe.HasIn() {
 			if _, ok := pe.RecvWait(); !ok {
 				t.Error("missing token")
@@ -380,9 +382,27 @@ func TestProfilePerPE(t *testing.T) {
 		}
 	})
 	pp := m3.Metrics().Phases[0].PerPE
-	if len(pp) != 3 || pp[0] <= 0 || pp[2] <= pp[0] {
-		t.Fatalf("parallel sweep profile wrong: %v", pp)
+	if !reflect.DeepEqual(pp, []int64{3, 3, 2}) {
+		t.Fatalf("right-to-left sweep profile wrong: %v", pp)
 	}
+}
+
+func metricsEqual(a, b Metrics) bool {
+	if a.Time != b.Time || a.Sends != b.Sends || a.Words != b.Words || a.MaxQueue != b.MaxQueue {
+		return false
+	}
+	if len(a.Phases) != len(b.Phases) {
+		return false
+	}
+	for i := range a.Phases {
+		pa, pb := a.Phases[i], b.Phases[i]
+		if pa.Makespan != pb.Makespan || pa.Busy != pb.Busy || pa.Idle != pb.Idle ||
+			pa.Sends != pb.Sends || pa.Words != pb.Words || pa.NilRecvs != pb.NilRecvs ||
+			pa.MaxQueue != pb.MaxQueue {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMachineResetMatchesFresh: a reset machine must be observationally

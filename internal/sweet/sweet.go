@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"regexp"
-	"runtime"
 	"sort"
 	"time"
 
@@ -28,12 +27,6 @@ type Config struct {
 	// Short shrinks every scenario to a seconds-long smoke (the go
 	// test mode); full scale is the CI/measurement mode.
 	Short bool
-	// GoMaxProcs are the GOMAXPROCS values the core scenarios sweep.
-	// Defaults to 1,2,4 plus NumCPU when larger: the parallel engine,
-	// the stream pool, and the strip fan-out are measured at every
-	// point, so a 1-core runner still exercises (and times) the >1
-	// scheduling paths while a multicore runner shows real speedup.
-	GoMaxProcs []int
 	// Count is the number of samples per core measurement (default 3;
 	// ≥ 3 lets a later diff run the significance test instead of the
 	// point heuristic).
@@ -49,12 +42,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.GoMaxProcs) == 0 {
-		c.GoMaxProcs = []int{1, 2, 4}
-		if n := runtime.NumCPU(); n > 4 {
-			c.GoMaxProcs = append(c.GoMaxProcs, n)
-		}
-	}
 	if c.Count <= 0 {
 		c.Count = 3
 	}
@@ -99,11 +86,10 @@ func Scenarios() []Scenario {
 		{Name: "strip", Kind: "service", Desc: "strip-mined frames (array-width 128) through slapd", run: runStrip},
 		{Name: "batch", Kind: "service", Desc: "multipart batch endpoint throughput", run: runBatch},
 		{Name: "cost", Kind: "service", Desc: "cost=host vs cost=bitserial on identical requests; emits the host/bitserial ratio", run: runCost},
-		{Name: "engine", Kind: "core", Desc: "seq vs parallel simulator across GOMAXPROCS, plus host and bitserial points", run: runEngine},
+		{Name: "engine", Kind: "core", Desc: "simulator (unit and bitserial cost) vs host engine on one frame", run: runEngine},
 		{Name: "stream", Kind: "core", Desc: "LabelStream/LabelerPool frame-streaming scaling across worker counts", run: runStream},
 		{Name: "stripworkers", Kind: "core", Desc: "LabelLarge StripWorkers fan-out across worker counts", run: runStripWorkers},
 		{Name: "reuse", Kind: "core", Desc: "reused Labeler steady-state throughput and allocations", run: runReuse},
-		{Name: "linktune", Kind: "core", Desc: "parallel-engine BatchSize x LinkDepth sweep (tunes slap.DefaultLinkTuning)", run: runLinkTune},
 	}
 }
 
@@ -150,8 +136,8 @@ func Run(pattern string, cfg Config) (*benchfmt.File, error) {
 		Runner: benchfmt.Runner{
 			CPU: rt.CPU, Cores: rt.Cores, GOMAXPROCS: rt.GOMAXPROCS, GoVersion: rt.GoVersion,
 		},
-		Protocol: fmt.Sprintf("cmd/slapsweet: in-process slapd on a TCP listener, closed-loop client; core scenarios swept at GOMAXPROCS %v with %d samples per point; short=%v",
-			cfg.GoMaxProcs, cfg.Count, cfg.Short),
+		Protocol: fmt.Sprintf("cmd/slapsweet: in-process slapd on a TCP listener, closed-loop client; core scenarios with %d samples per point, worker sweeps at GOMAXPROCS = workers; short=%v",
+			cfg.Count, cfg.Short),
 	}
 	for _, s := range scens {
 		t0 := time.Now()
